@@ -3,7 +3,8 @@
 // bandwidth tests, nonblocking call-overhead measurement, and the
 // multithreaded (MPI_THREAD_MULTIPLE) latency test — each runnable under
 // any approach and platform profile, plus plain-text/CSV table printers
-// used by the cmd/ drivers to regenerate every figure and table.
+// used by cmd/paperbench to regenerate every figure and table, and the
+// BENCH document types with their validators (report.go).
 package bench
 
 import (
@@ -52,7 +53,7 @@ func OverlapP2P(cfg sim.Config, sizes []int, iters int) []OverlapResult {
 	for _, size := range sizes {
 		size := size
 		var res OverlapResult
-		run(cfg, func(env *Env) { overlapOne(env, size, iters, &res) })
+		Run(cfg, func(env *Env) { overlapOne(env, size, iters, &res) })
 		out = append(out, res)
 	}
 	return out
@@ -148,7 +149,7 @@ func IsendPostTime(cfg sim.Config, sizes []int, iters int) []PostTimeResult {
 	for _, size := range sizes {
 		size := size
 		var post float64
-		run(cfg, func(env *Env) {
+		Run(cfg, func(env *Env) {
 			c := env.World
 			peer := 1 - env.Rank()
 			sbuf := make([]byte, size)
@@ -190,7 +191,7 @@ func OSULatency(cfg sim.Config, sizes []int, iters int) []LatencyResult {
 	for _, size := range sizes {
 		size := size
 		var lat float64
-		run(cfg, func(env *Env) {
+		Run(cfg, func(env *Env) {
 			c := env.World
 			buf := make([]byte, size)
 			start := env.Now()
@@ -232,7 +233,7 @@ func OSUBandwidth(cfg sim.Config, sizes []int, window, windows int) []BandwidthR
 	for _, size := range sizes {
 		size := size
 		var bw float64
-		run(cfg, func(env *Env) {
+		Run(cfg, func(env *Env) {
 			c := env.World
 			bufs := make([][]byte, window)
 			for i := range bufs {
@@ -287,7 +288,7 @@ func OSUMultithreadedLatency(cfg sim.Config, threads int, sizes []int, iters int
 	for _, size := range sizes {
 		size := size
 		var lat float64
-		run(cfg, func(env *Env) {
+		Run(cfg, func(env *Env) {
 			sum := make([]float64, threads)
 			env.ParallelN(threads, func(th *sim.Thread) {
 				c := th.Comm
@@ -347,7 +348,7 @@ func MTPostScaling(cfg sim.Config, threadCounts []int, iters int) []MTScaleResul
 		// A trace recorder activates the offload thread's duty-cycle
 		// accounting, which is where MeanBatch comes from.
 		cfg.Trace = obs.NewTrace(obs.Options{})
-		res := run(cfg, func(env *Env) {
+		res := Run(cfg, func(env *Env) {
 			sum := make([]float64, threads)
 			cnt := make([]int, threads)
 			env.ParallelN(threads, func(th *sim.Thread) {
@@ -422,7 +423,7 @@ func MTAgentScaling(cfg sim.Config, threadCounts, agentCounts []int, iters int) 
 			cfg.Profile = &p
 			cfg.Trace = obs.NewTrace(obs.Options{})
 			var post float64
-			res := run(cfg, func(env *Env) {
+			res := Run(cfg, func(env *Env) {
 				sum := make([]float64, threads)
 				cnt := make([]int, threads)
 				env.ParallelN(threads, func(th *sim.Thread) {

@@ -97,7 +97,7 @@ func ChaosCell(cfg sim.Config, ranks int, spec ChaosSpec) ChaosCellResult {
 		detect[i] = -1
 	}
 
-	res := run(cfg, func(env *sim.Env) {
+	res := Run(cfg, func(env *sim.Env) {
 		c := env.World
 		me, n := env.Rank(), env.Size()
 		victim := n - 1

@@ -52,7 +52,7 @@ func OverlapColl(cfg sim.Config, ranks int, kinds []string, size, iters int) []C
 	for _, kind := range kinds {
 		kind := kind
 		var res CollOverlapResult
-		run(cfg, func(env *Env) {
+		Run(cfg, func(env *Env) {
 			c := env.World
 			n := c.Size()
 			sz := size
@@ -130,7 +130,7 @@ func CollPostTime(cfg sim.Config, ranks int, kinds []string, size, iters int) []
 	for _, kind := range kinds {
 		kind := kind
 		var res CollPostResult
-		run(cfg, func(env *Env) {
+		Run(cfg, func(env *Env) {
 			c := env.World
 			n := c.Size()
 			sz := size

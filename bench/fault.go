@@ -8,10 +8,10 @@ import "mpioffload/sim"
 // themselves.
 var resil sim.Resilience
 
-// run executes one simulation, folding its resilience and observability
+// Run executes one simulation, folding its resilience and observability
 // counters into the package accumulators. All benchmark entry points go
-// through it.
-func run(cfg sim.Config, program func(env *Env)) sim.Result {
+// through it, and so do drivers that run application kernels directly.
+func Run(cfg sim.Config, program func(env *Env)) sim.Result {
 	res := sim.Run(cfg, program)
 	resil.Add(res.Resilience)
 	accumulateMetrics(cfg.Approach, res.Metrics)

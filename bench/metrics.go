@@ -9,7 +9,7 @@ import (
 
 // The benchmarks also accumulate each run's per-layer observability
 // counters so drivers can print one metrics summary for a whole sweep
-// (run() in fault.go folds them in) — both as a grand total and keyed by
+// (Run in fault.go folds them in) — both as a grand total and keyed by
 // approach, so latency decompositions can be compared across approaches.
 var (
 	met         sim.Metrics

@@ -1,34 +1,28 @@
-package main
+package bench
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
+import "fmt"
 
-	"mpioffload/bench"
-)
-
-// chaosSchema versions BENCH_chaos.json; bump on incompatible change.
-const chaosSchema = "chaos/v1"
+// ChaosSchema versions BENCH_chaos.json; bump on incompatible change.
+const ChaosSchema = "chaos/v1"
 
 // ChaosReport is the BENCH_chaos.json document: one cell per
 // (topology, plan, approach) of the sweep.
 type ChaosReport struct {
-	Schema     string                  `json:"schema"`
-	Profile    string                  `json:"profile"`
-	Ranks      int                     `json:"ranks"`
-	Seed       int64                   `json:"seed"`
-	WatchdogNs float64                 `json:"watchdog_ns"`
-	Cells      []bench.ChaosCellResult `json:"cells"`
+	Schema     string            `json:"schema"`
+	Profile    string            `json:"profile"`
+	Ranks      int               `json:"ranks"`
+	Seed       int64             `json:"seed"`
+	WatchdogNs float64           `json:"watchdog_ns"`
+	Cells      []ChaosCellResult `json:"cells"`
 }
 
-// validateChaos checks a report's structure and the sweep's headline
-// claims. Virtual time is deterministic, so the behavioural assertions
-// (rerouting happened, crashes were detected, the offload path detects no
-// later than the baseline) are safe to enforce on any machine.
-func validateChaos(rep *ChaosReport) error {
-	if rep.Schema != chaosSchema {
-		return fmt.Errorf("schema %q, want %q", rep.Schema, chaosSchema)
+// Validate checks a report's structure and the sweep's headline claims.
+// Virtual time is deterministic, so the behavioural assertions (rerouting
+// happened, crashes were detected, the offload path detects no later than
+// the baseline) are safe to enforce on any machine.
+func (rep *ChaosReport) Validate() error {
+	if rep.Schema != ChaosSchema {
+		return fmt.Errorf("schema %q, want %q", rep.Schema, ChaosSchema)
 	}
 	if rep.Profile == "" {
 		return fmt.Errorf("missing profile")
@@ -115,15 +109,22 @@ func validateChaos(rep *ChaosReport) error {
 	return nil
 }
 
-// validateChaosFile loads and validates a BENCH_chaos.json document.
-func validateChaosFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// Metrics flattens the sweep: virtual elapsed, recovery and detection
+// times per cell, hard tripwires on violations and trace drops, and
+// informational retransmit and watchdog counts.
+func (rep *ChaosReport) Metrics() []Metric {
+	var m metrics
+	for _, c := range rep.Cells {
+		cell := fmt.Sprintf("{topo=%s,plan=%s,approach=%s}", c.Topo, c.Plan, c.Approach)
+		m.add(ClassVirtual, LowerBetter, float64(c.ElapsedNs), "chaos.elapsed_ns%s", cell)
+		m.add(ClassVirtual, LowerBetter, c.RecoverNs, "chaos.recover_ns%s", cell)
+		if c.Plan == "crash" {
+			m.add(ClassVirtual, LowerBetter, c.DetectNs, "chaos.detect_ns%s", cell)
+		}
+		m.add(ClassHard, LowerBetter, float64(len(c.Violations)), "chaos.violations%s", cell)
+		m.add(ClassHard, LowerBetter, float64(c.TraceDrops), "chaos.trace_drops%s", cell)
+		m.add(ClassInfo, LowerBetter, float64(c.Retransmits), "chaos.retransmits%s", cell)
+		m.add(ClassInfo, LowerBetter, float64(c.WatchdogTrips), "chaos.watchdog_trips%s", cell)
 	}
-	var rep ChaosReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return validateChaos(&rep)
+	return m
 }

@@ -1,25 +1,17 @@
-package main
+package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 )
 
-// netSchema versions BENCH_net.json; bump on incompatible change. v1
+// NetSchema versions BENCH_net.json; bump on incompatible change. v1
 // records, per transport backend, the wall-clock ping-pong latency sweep
 // and the multithreaded message-rate sweep (Direct global-lock baseline
 // vs Offload), plus the sim-vs-real residual rows that anchor the
 // simulator's virtual-time predictions against real sockets.
-const netSchema = "net/v1"
-
-// gateThreads is the thread count whose rate rows carry the perf gate:
-// at the saturated end of the sweep the offload path must move at least
-// as many messages per second as the global-lock baseline. Documents
-// without such rows (smoke sweeps) get structural validation only.
-const gateThreads = 16
+const NetSchema = "net/v1"
 
 // PingPongRow is one message size of a backend's latency sweep: mean
 // one-way wall-clock latency of a single-threaded blocking ping-pong.
@@ -47,8 +39,9 @@ type NetBackend struct {
 
 // NetResidual compares one microbenchmark across the simulator (virtual
 // ns on the modeled Endeavor fabric) and a real backend (wall-clock ns on
-// this host's sockets). Ratio = real/sim: the residual between what the
-// model predicts for its hardware and what the localhost wire delivers.
+// the measuring host's sockets). Ratio = real/sim: the residual between
+// what the model predicts for its hardware and what the localhost wire
+// delivers.
 type NetResidual struct {
 	Bench   string  `json:"bench"`
 	Backend string  `json:"backend"`
@@ -64,13 +57,13 @@ type NetReport struct {
 	Residuals []NetResidual `json:"residuals"`
 }
 
-// validateNet checks a report's structure — schema tag, non-empty sweeps,
+// Validate checks a report's structure — schema tag, non-empty sweeps,
 // ascending axes, positive measurements — and, on documents that reach the
-// saturated gateThreads rows, the perf gate: offload throughput must not
+// saturated GateThreads rows, the perf gate: offload throughput must not
 // fall below the global-lock baseline.
-func validateNet(rep *NetReport) error {
-	if rep.Schema != netSchema {
-		return fmt.Errorf("schema %q, want %q", rep.Schema, netSchema)
+func (rep *NetReport) Validate() error {
+	if rep.Schema != NetSchema {
+		return fmt.Errorf("schema %q, want %q", rep.Schema, NetSchema)
 	}
 	if len(rep.Backends) == 0 {
 		return fmt.Errorf("no backends")
@@ -99,11 +92,11 @@ func validateNet(rep *NetReport) error {
 			if r.Threads < 1 || r.DirectMsgsSec <= 0 || r.OffloadMsgsSec <= 0 {
 				return fmt.Errorf("%s: bad rate row %+v", b.Backend, r)
 			}
-			if r.Threads == gateThreads {
+			if r.Threads == GateThreads {
 				gated = true
 				if r.OffloadMsgsSec < r.DirectMsgsSec {
 					return fmt.Errorf("perf gate: %s offload %.0f msgs/s < direct %.0f at %d threads",
-						b.Backend, r.OffloadMsgsSec, r.DirectMsgsSec, gateThreads)
+						b.Backend, r.OffloadMsgsSec, r.DirectMsgsSec, GateThreads)
 				}
 			}
 		}
@@ -123,15 +116,23 @@ func validateNet(rep *NetReport) error {
 	return nil
 }
 
-// validateNetFile loads and validates a BENCH_net.json document.
-func validateNetFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// Metrics flattens the document. Everything in it is wall clock from real
+// sockets, so all gating rows use the wide band; the sim-vs-real residual
+// ratios are informational — they document the gap between modeled and
+// local hardware, not a quantity with a "right" direction.
+func (rep *NetReport) Metrics() []Metric {
+	var m metrics
+	for _, b := range rep.Backends {
+		for _, r := range b.PingPong {
+			m.add(ClassWall, LowerBetter, r.LatencyNs, "net.pingpong_ns{backend=%s,size=%d}", b.Backend, r.Size)
+		}
+		for _, r := range b.Rate {
+			m.add(ClassWall, HigherBetter, r.DirectMsgsSec, "net.direct_msgs_per_sec{backend=%s,threads=%d}", b.Backend, r.Threads)
+			m.add(ClassWall, HigherBetter, r.OffloadMsgsSec, "net.offload_msgs_per_sec{backend=%s,threads=%d}", b.Backend, r.Threads)
+		}
 	}
-	var rep NetReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	for _, r := range rep.Residuals {
+		m.add(ClassInfo, LowerBetter, r.Ratio, "net.residual_ratio{bench=%s,backend=%s}", r.Bench, r.Backend)
 	}
-	return validateNet(&rep)
+	return m
 }

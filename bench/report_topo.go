@@ -1,34 +1,30 @@
-package main
+package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
-
-	"mpioffload/bench"
 )
 
-// topoSchema versions BENCH_topo.json; bump on incompatible change.
-const topoSchema = "topo/v1"
+// TopoSchema versions BENCH_topo.json; bump on incompatible change.
+const TopoSchema = "topo/v1"
 
 // TopoReport is the BENCH_topo.json document: one row per
 // (topology, algorithm, size) cell of the sweep.
 type TopoReport struct {
-	Schema       string                 `json:"schema"`
-	Profile      string                 `json:"profile"`
-	Nodes        int                    `json:"nodes"`
-	RanksPerNode int                    `json:"ranks_per_node"`
-	Rows         []bench.TopoCollResult `json:"rows"`
+	Schema       string           `json:"schema"`
+	Profile      string           `json:"profile"`
+	Nodes        int              `json:"nodes"`
+	RanksPerNode int              `json:"ranks_per_node"`
+	Rows         []TopoCollResult `json:"rows"`
 }
 
-// validateTopo checks a report's structure and its headline claim. The
+// Validate checks a report's structure and its headline claim. The
 // structural checks are machine-independent; the performance assertion
 // (hier beats ring for >= 1 MiB on any >= 2:1-oversubscribed fat-tree) is
 // safe to enforce because virtual time is deterministic.
-func validateTopo(rep *TopoReport) error {
-	if rep.Schema != topoSchema {
-		return fmt.Errorf("schema %q, want %q", rep.Schema, topoSchema)
+func (rep *TopoReport) Validate() error {
+	if rep.Schema != TopoSchema {
+		return fmt.Errorf("schema %q, want %q", rep.Schema, TopoSchema)
 	}
 	if rep.Profile == "" {
 		return fmt.Errorf("missing profile")
@@ -94,15 +90,13 @@ func oversubscribedFatTree(s string) bool {
 	return f >= 2
 }
 
-// validateTopoFile loads and validates a BENCH_topo.json document.
-func validateTopoFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// Metrics flattens the sweep: virtual mean allreduce time per cell, plus
+// the busiest link's utilisation for information.
+func (rep *TopoReport) Metrics() []Metric {
+	var m metrics
+	for _, r := range rep.Rows {
+		m.add(ClassVirtual, LowerBetter, r.MeanNs, "topo.mean_ns{topo=%s,algo=%s,bytes=%d}", r.Topo, r.Algo, r.Bytes)
+		m.add(ClassInfo, LowerBetter, r.MaxLinkUtil, "topo.max_link_util{topo=%s,algo=%s,bytes=%d}", r.Topo, r.Algo, r.Bytes)
 	}
-	var rep TopoReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return validateTopo(&rep)
+	return m
 }

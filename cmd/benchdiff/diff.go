@@ -1,224 +1,40 @@
 package main
 
-// The diff engine: documents decode to an ordered list of named metrics,
-// each tagged with a class that selects its tolerance band and direction;
-// diffMetrics joins two generations by metric key and classifies every
-// pair as ok / better / regression / info.
+// The diff engine: documents decode (package bench owns every schema) to
+// an ordered list of named metrics, each tagged with a class that selects
+// its tolerance band and direction; diffMetrics joins two generations by
+// metric key and classifies every pair as ok / better / regression / info.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"mpioffload/bench"
 )
 
-// metricClass selects the tolerance band and gating rule.
-type metricClass int
-
-const (
-	// classVirtual: deterministic virtual-time result; tight band.
-	classVirtual metricClass = iota
-	// classWall: wall-clock measurement; wide band.
-	classWall
-	// classHard: correctness tripwire; any growth past zero regresses.
-	classHard
-	// classInfo: reported, never gates (duty fractions, batch sizes).
-	classInfo
-)
-
-func (c metricClass) String() string {
-	switch c {
-	case classVirtual:
-		return "virtual"
-	case classWall:
-		return "wall"
-	case classHard:
-		return "hard"
-	}
-	return "info"
-}
-
-// direction says which way is an improvement.
-type direction int
-
-const (
-	lowerBetter direction = iota
-	higherBetter
-)
-
-// metric is one named measurement of a document.
-type metric struct {
-	key   string
-	val   float64
-	class metricClass
-	dir   direction
-}
-
 // doc is a decoded benchmark document.
 type doc struct {
 	schema  string
-	metrics []metric
+	metrics []bench.Metric
 }
 
 type tolerances struct {
 	virtual, wall float64
 }
 
-// loadDoc reads a benchmark document and flattens it to metrics according
-// to its schema tag.
+// loadDoc reads a benchmark document and flattens it to metrics through
+// its schema's report type.
 func loadDoc(path string) (*doc, error) {
-	data, err := os.ReadFile(path)
+	schema, rep, err := bench.ReadReport(path)
 	if err != nil {
 		return nil, err
 	}
-	var head struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	d := &doc{schema: head.Schema}
-	switch head.Schema {
-	case "mtscale/v2":
-		err = d.loadMTScale(data)
-	case "topo/v1":
-		err = d.loadTopo(data)
-	case "chaos/v1":
-		err = d.loadChaos(data)
-	case "net/v1":
-		err = d.loadNet(data)
-	default:
-		return nil, fmt.Errorf("%s: unknown schema %q (want mtscale/v2, topo/v1, chaos/v1 or net/v1)", path, head.Schema)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
+	d := &doc{schema: schema, metrics: rep.Metrics()}
 	if len(d.metrics) == 0 {
 		return nil, fmt.Errorf("%s: no metrics in document", path)
 	}
 	return d, nil
-}
-
-func (d *doc) add(class metricClass, dir direction, val float64, format string, args ...any) {
-	d.metrics = append(d.metrics, metric{
-		key: fmt.Sprintf(format, args...), val: val, class: class, dir: dir,
-	})
-}
-
-// rtScaleRow mirrors cmd/mtbench's RTScaleRow (package main there, so the
-// type cannot be imported).
-type rtScaleRow struct {
-	Threads          int     `json:"threads"`
-	ShardedNsPerPost float64 `json:"sharded_ns_per_post"`
-	SharedNsPerPost  float64 `json:"shared_ns_per_post"`
-}
-
-func (d *doc) loadMTScale(data []byte) error {
-	var rep struct {
-		Sim    []bench.MTScaleResult `json:"sim"`
-		RT     []rtScaleRow          `json:"rt"`
-		Agents []bench.MTAgentCell   `json:"agents"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return err
-	}
-	for _, r := range rep.Sim {
-		d.add(classVirtual, lowerBetter, r.PostNs, "sim.post_ns{threads=%d}", r.Threads)
-		d.add(classInfo, higherBetter, r.MeanBatch, "sim.mean_batch{threads=%d}", r.Threads)
-	}
-	for _, r := range rep.RT {
-		d.add(classWall, lowerBetter, r.ShardedNsPerPost, "rt.sharded_ns_per_post{threads=%d}", r.Threads)
-		d.add(classWall, lowerBetter, r.SharedNsPerPost, "rt.shared_ns_per_post{threads=%d}", r.Threads)
-	}
-	for _, c := range rep.Agents {
-		d.add(classVirtual, lowerBetter, c.PostNs, "agents.post_ns{threads=%d,agents=%d}", c.Threads, c.Agents)
-		d.add(classVirtual, higherBetter, c.PostsPerMs, "agents.posts_per_ms{threads=%d,agents=%d}", c.Threads, c.Agents)
-		d.add(classInfo, higherBetter, c.DutyIssue+c.DutyProgress, "agents.duty{threads=%d,agents=%d}", c.Threads, c.Agents)
-	}
-	return nil
-}
-
-func (d *doc) loadTopo(data []byte) error {
-	var rep struct {
-		Rows []bench.TopoCollResult `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return err
-	}
-	for _, r := range rep.Rows {
-		d.add(classVirtual, lowerBetter, r.MeanNs, "topo.mean_ns{topo=%s,algo=%s,bytes=%d}", r.Topo, r.Algo, r.Bytes)
-		d.add(classInfo, lowerBetter, r.MaxLinkUtil, "topo.max_link_util{topo=%s,algo=%s,bytes=%d}", r.Topo, r.Algo, r.Bytes)
-	}
-	return nil
-}
-
-func (d *doc) loadChaos(data []byte) error {
-	var rep struct {
-		Cells []bench.ChaosCellResult `json:"cells"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return err
-	}
-	for _, c := range rep.Cells {
-		cell := fmt.Sprintf("{topo=%s,plan=%s,approach=%s}", c.Topo, c.Plan, c.Approach)
-		d.add(classVirtual, lowerBetter, float64(c.ElapsedNs), "chaos.elapsed_ns%s", cell)
-		d.add(classVirtual, lowerBetter, c.RecoverNs, "chaos.recover_ns%s", cell)
-		if c.Plan == "crash" {
-			d.add(classVirtual, lowerBetter, c.DetectNs, "chaos.detect_ns%s", cell)
-		}
-		d.add(classHard, lowerBetter, float64(len(c.Violations)), "chaos.violations%s", cell)
-		d.add(classHard, lowerBetter, float64(c.TraceDrops), "chaos.trace_drops%s", cell)
-		d.add(classInfo, lowerBetter, float64(c.Retransmits), "chaos.retransmits%s", cell)
-		d.add(classInfo, lowerBetter, float64(c.WatchdogTrips), "chaos.watchdog_trips%s", cell)
-	}
-	return nil
-}
-
-// netReport mirrors cmd/netbench's NetReport (package main there, so the
-// types cannot be imported). Everything in a net/v1 document is wall
-// clock from real sockets, so all gating rows use the wide band; the
-// sim-vs-real residual ratios are informational — they document the gap
-// between modeled and local hardware, not a quantity with a "right"
-// direction.
-func (d *doc) loadNet(data []byte) error {
-	var rep struct {
-		Backends []struct {
-			Backend  string `json:"backend"`
-			PingPong []struct {
-				Size      int     `json:"size"`
-				LatencyNs float64 `json:"latency_ns"`
-			} `json:"pingpong"`
-			Rate []struct {
-				Threads        int     `json:"threads"`
-				DirectMsgsSec  float64 `json:"direct_msgs_per_sec"`
-				OffloadMsgsSec float64 `json:"offload_msgs_per_sec"`
-			} `json:"rate"`
-		} `json:"backends"`
-		Residuals []struct {
-			Bench   string  `json:"bench"`
-			Backend string  `json:"backend"`
-			Ratio   float64 `json:"ratio"`
-		} `json:"residuals"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return err
-	}
-	for _, b := range rep.Backends {
-		for _, r := range b.PingPong {
-			d.add(classWall, lowerBetter, r.LatencyNs, "net.pingpong_ns{backend=%s,size=%d}", b.Backend, r.Size)
-		}
-		for _, r := range b.Rate {
-			d.add(classWall, higherBetter, r.DirectMsgsSec, "net.direct_msgs_per_sec{backend=%s,threads=%d}", b.Backend, r.Threads)
-			d.add(classWall, higherBetter, r.OffloadMsgsSec, "net.offload_msgs_per_sec{backend=%s,threads=%d}", b.Backend, r.Threads)
-		}
-	}
-	for _, r := range rep.Residuals {
-		d.add(classInfo, lowerBetter, r.Ratio, "net.residual_ratio{bench=%s,backend=%s}", r.Bench, r.Backend)
-	}
-	return nil
 }
 
 // verdict is the classification of one compared metric.
@@ -252,7 +68,7 @@ func (v verdict) String() string {
 // diffRow is one line of the trend table.
 type diffRow struct {
 	key      string
-	class    metricClass
+	class    bench.MetricClass
 	old, new float64
 	delta    float64 // relative change, NaN when old == 0
 	verdict  verdict
@@ -260,48 +76,48 @@ type diffRow struct {
 
 // diffMetrics joins the two generations in old-document order (new-only
 // metrics append at the end) and classifies every pair.
-func diffMetrics(olds, news []metric, tol tolerances) []diffRow {
-	newBy := make(map[string]metric, len(news))
+func diffMetrics(olds, news []bench.Metric, tol tolerances) []diffRow {
+	newBy := make(map[string]bench.Metric, len(news))
 	for _, m := range news {
-		newBy[m.key] = m
+		newBy[m.Key] = m
 	}
 	var rows []diffRow
 	for _, om := range olds {
-		nm, ok := newBy[om.key]
+		nm, ok := newBy[om.Key]
 		if !ok {
-			rows = append(rows, diffRow{key: om.key, class: om.class, old: om.val, new: math.NaN(), verdict: vRemoved})
+			rows = append(rows, diffRow{key: om.Key, class: om.Class, old: om.Value, new: math.NaN(), verdict: vRemoved})
 			continue
 		}
-		delete(newBy, om.key)
+		delete(newBy, om.Key)
 		rows = append(rows, compare(om, nm, tol))
 	}
 	for _, nm := range news {
-		if _, stillNew := newBy[nm.key]; stillNew {
-			rows = append(rows, diffRow{key: nm.key, class: nm.class, old: math.NaN(), new: nm.val, verdict: vAdded})
+		if _, stillNew := newBy[nm.Key]; stillNew {
+			rows = append(rows, diffRow{key: nm.Key, class: nm.Class, old: math.NaN(), new: nm.Value, verdict: vAdded})
 		}
 	}
 	return rows
 }
 
-func compare(om, nm metric, tol tolerances) diffRow {
-	row := diffRow{key: om.key, class: om.class, old: om.val, new: nm.val}
+func compare(om, nm bench.Metric, tol tolerances) diffRow {
+	row := diffRow{key: om.Key, class: om.Class, old: om.Value, new: nm.Value}
 	rel := math.NaN()
-	if om.val != 0 {
-		rel = (nm.val - om.val) / math.Abs(om.val)
+	if om.Value != 0 {
+		rel = (nm.Value - om.Value) / math.Abs(om.Value)
 	}
 	row.delta = rel
 
-	switch om.class {
-	case classInfo:
+	switch om.Class {
+	case bench.ClassInfo:
 		row.verdict = vInfo
 		return row
-	case classHard:
+	case bench.ClassHard:
 		// Tripwires gate on growth, bands be damned; 0 → 0 is the healthy
 		// steady state.
 		switch {
-		case nm.val > om.val:
+		case nm.Value > om.Value:
 			row.verdict = vRegression
-		case nm.val < om.val:
+		case nm.Value < om.Value:
 			row.verdict = vBetter
 		default:
 			row.verdict = vOK
@@ -310,18 +126,18 @@ func compare(om, nm metric, tol tolerances) diffRow {
 	}
 
 	band := tol.virtual
-	if om.class == classWall {
+	if om.Class == bench.ClassWall {
 		band = tol.wall
 	}
 	// Signed "worse" fraction: positive means the metric moved the wrong way.
 	worse := rel
-	if om.dir == higherBetter {
+	if om.Dir == bench.HigherBetter {
 		worse = -rel
 	}
 	switch {
-	case om.val == 0 && nm.val == 0:
+	case om.Value == 0 && nm.Value == 0:
 		row.verdict = vOK
-	case om.val == 0:
+	case om.Value == 0:
 		// No baseline to band against; a metric appearing from zero is
 		// surfaced but cannot gate.
 		row.verdict = vInfo

@@ -7,9 +7,13 @@
 // Usage:
 //
 //	benchdiff [-tol-virtual F] [-tol-wall F] OLD.json NEW.json
+//	benchdiff -validate FILE
 //
 // The schema is detected from the documents' "schema" field (both files
-// must agree). Metrics fall into three classes:
+// must agree); package bench owns each schema's type, validator and metric
+// list. -validate checks one document against its schema's validator —
+// structure, and on full-size documents the perf gates and headline
+// claims — and exits nonzero if it fails. Metrics fall into three classes:
 //
 //   - virtual: simulator results; deterministic given the code, so the
 //     band (default 10%) only absorbs legitimate model drift between
@@ -28,14 +32,25 @@ import (
 	"fmt"
 	"log"
 	"os"
+
+	"mpioffload/bench"
 )
 
 func main() {
 	tolVirtual := flag.Float64("tol-virtual", 0.10, "relative tolerance for deterministic virtual-time metrics")
 	tolWall := flag.Float64("tol-wall", 0.35, "relative tolerance for wall-clock metrics")
+	validate := flag.String("validate", "", "validate one BENCH document and exit")
 	flag.Parse()
+	if *validate != "" {
+		schema, err := bench.ValidateFile(*validate)
+		if err != nil {
+			log.Fatalf("invalid %s: %v", *validate, err)
+		}
+		fmt.Printf("%s: valid %s document\n", *validate, schema)
+		return
+	}
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol-virtual F] [-tol-wall F] OLD.json NEW.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol-virtual F] [-tol-wall F] OLD.json NEW.json | benchdiff -validate FILE")
 		os.Exit(2)
 	}
 	oldPath, newPath := flag.Arg(0), flag.Arg(1)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpioffload/bench"
 )
 
 var oldMTScale = []byte(`{
@@ -119,10 +121,10 @@ func TestCommittedBaselinesSelfDiff(t *testing.T) {
 // TestChaosHardGates: violations and trace drops regress on ANY growth,
 // even within a 10% band; improvements count as better.
 func TestChaosHardGates(t *testing.T) {
-	mk := func(drops int) []metric {
-		return []metric{
-			{key: "chaos.violations{x}", val: 0, class: classHard, dir: lowerBetter},
-			{key: "chaos.trace_drops{x}", val: float64(drops), class: classHard, dir: lowerBetter},
+	mk := func(drops int) []bench.Metric {
+		return []bench.Metric{
+			{Key: "chaos.violations{x}", Value: 0, Class: bench.ClassHard, Dir: bench.LowerBetter},
+			{Key: "chaos.trace_drops{x}", Value: float64(drops), Class: bench.ClassHard, Dir: bench.LowerBetter},
 		}
 	}
 	rows := diffMetrics(mk(0), mk(3), tolerances{virtual: 0.10, wall: 0.35})
@@ -148,8 +150,8 @@ func TestChaosHardGates(t *testing.T) {
 // TestSweepPointChurn: metrics present in only one generation are reported
 // but never gate.
 func TestSweepPointChurn(t *testing.T) {
-	olds := []metric{{key: "a", val: 1, class: classVirtual}, {key: "gone", val: 2, class: classVirtual}}
-	news := []metric{{key: "a", val: 1, class: classVirtual}, {key: "fresh", val: 3, class: classVirtual}}
+	olds := []bench.Metric{{Key: "a", Value: 1, Class: bench.ClassVirtual}, {Key: "gone", Value: 2, Class: bench.ClassVirtual}}
+	news := []bench.Metric{{Key: "a", Value: 1, Class: bench.ClassVirtual}, {Key: "fresh", Value: 3, Class: bench.ClassVirtual}}
 	rows := diffMetrics(olds, news, tolerances{virtual: 0.10})
 	var buf bytes.Buffer
 	if n := writeTable(&buf, "s", "o", "n", rows); n != 0 {

@@ -5,14 +5,13 @@
 // an exactly-once eager stream and a large allreduce across the fault and
 // records invariant violations instead of asserting, so a sweep always
 // completes; the result is written as BENCH_chaos.json (schema chaos/v1).
-// -validate FILE checks such a document: zero violations anywhere, dead
-// links rerouted around, flaps stalled through, crashes detected and
+// `benchdiff -validate` checks such a document: zero violations anywhere,
+// dead links rerouted around, flaps stalled through, crashes detected and
 // recovered from by shrinking — and the offloaded runs detecting rank
 // failure no later than the baseline's watchdog does.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -82,24 +81,15 @@ func main() {
 	watchdog := flag.Float64("watchdog", 600_000, "request deadline, virtual ns")
 	out := flag.String("out", "BENCH_chaos.json", "output path")
 	csv := flag.Bool("csv", false, "emit CSV tables instead of aligned text")
-	validate := flag.String("validate", "", "validate an existing BENCH_chaos.json and exit")
 	flag.Parse()
-
-	if *validate != "" {
-		if err := validateChaosFile(*validate); err != nil {
-			log.Fatalf("invalid %s: %v", *validate, err)
-		}
-		fmt.Printf("%s: valid %s document\n", *validate, chaosSchema)
-		return
-	}
 
 	prof, err := model.ByName(*profile)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	rep := &ChaosReport{
-		Schema:     chaosSchema,
+	rep := &bench.ChaosReport{
+		Schema:     bench.ChaosSchema,
 		Profile:    prof.Name,
 		Ranks:      *ranks,
 		Seed:       *seed,
@@ -126,15 +116,7 @@ func main() {
 			}
 		}
 	}
-	if err := validateChaos(rep); err != nil {
-		log.Fatalf("generated report failed validation: %v", err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := bench.WriteReport(*out, rep); err != nil {
 		log.Fatal(err)
 	}
 

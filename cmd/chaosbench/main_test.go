@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -31,7 +29,7 @@ func cellFor(t *testing.T, plan string, a sim.Approach) bench.ChaosCellResult {
 }
 
 // TestChaosCellInvariants runs the trunkdown and crash cells end to end and
-// checks the invariants -validate enforces on the full sweep.
+// checks the invariants the validator enforces on the full sweep.
 func TestChaosCellInvariants(t *testing.T) {
 	td := cellFor(t, "trunkdown", sim.Baseline)
 	if len(td.Violations) != 0 {
@@ -54,9 +52,9 @@ func TestChaosCellInvariants(t *testing.T) {
 }
 
 // TestChaosReportSchema assembles a reduced report from real cells and
-// round-trips it through the file validator -validate uses.
+// round-trips it through the file validator benchdiff -validate uses.
 func TestChaosReportSchema(t *testing.T) {
-	rep := &ChaosReport{Schema: chaosSchema, Profile: "endeavor-xeon", Ranks: 8, Seed: 1, WatchdogNs: 600_000}
+	rep := &bench.ChaosReport{Schema: bench.ChaosSchema, Profile: "endeavor-xeon", Ranks: 8, Seed: 1, WatchdogNs: 600_000}
 	for _, plan := range planAxis {
 		for _, a := range approachAxis {
 			rep.Cells = append(rep.Cells, cellFor(t, plan, a))
@@ -69,88 +67,15 @@ func TestChaosReportSchema(t *testing.T) {
 		c.Topo = "dragonfly:group=2"
 		rep.Cells = append(rep.Cells, c)
 	}
-	if err := validateChaos(rep); err != nil {
+	if err := rep.Validate(); err != nil {
 		t.Fatalf("generated report invalid: %v", err)
 	}
 
 	path := filepath.Join(t.TempDir(), "chaos.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := bench.WriteReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateChaosFile(path); err != nil {
+	if _, err := bench.ValidateFile(path); err != nil {
 		t.Fatalf("file validation: %v", err)
-	}
-}
-
-// TestChaosValidatorRejects: the validator must catch structural damage,
-// surviving violations, and a regressed detection headline.
-func TestChaosValidatorRejects(t *testing.T) {
-	good := func() *ChaosReport {
-		rep := &ChaosReport{Schema: chaosSchema, Profile: "endeavor-xeon", Ranks: 8, Seed: 1, WatchdogNs: 600_000}
-		for _, ts := range []string{"fattree:arity=4,oversub=2,trunks=2", "dragonfly:group=2"} {
-			for _, plan := range planAxis {
-				for _, a := range []string{"baseline", "offload"} {
-					c := bench.ChaosCellResult{
-						Topo: ts, Plan: plan, Approach: a, Ranks: 8, ElapsedNs: 1_000_000,
-					}
-					switch plan {
-					case "drop":
-						c.Retransmits = 10
-						c.RecoveryPathNs = 5000
-					case "trunkdown":
-						c.Rerouted = 40
-						c.LinkDrops = 3
-						c.FailDropLinks = []bench.ChaosLinkDrops{{Link: "leaf0.up0", Drops: 3}}
-					case "flap":
-						c.LinkStalls = 20
-					case "crash":
-						c.DetectNs = 650_000
-						c.RecoverNs = 730_000
-						if a == "offload" {
-							c.DetectNs = 655_000
-						}
-					}
-					rep.Cells = append(rep.Cells, c)
-				}
-			}
-		}
-		return rep
-	}
-	if err := validateChaos(good()); err != nil {
-		t.Fatalf("baseline report should validate: %v", err)
-	}
-	cases := map[string]func(*ChaosReport){
-		"wrong schema":      func(r *ChaosReport) { r.Schema = "chaos/v0" },
-		"missing profile":   func(r *ChaosReport) { r.Profile = "" },
-		"too few cells":     func(r *ChaosReport) { r.Cells = r.Cells[:8] },
-		"violation":         func(r *ChaosReport) { r.Cells[0].Violations = []string{"boom"} },
-		"no retransmits":    func(r *ChaosReport) { r.Cells[0].Retransmits = 0 },
-		"no reroute":        func(r *ChaosReport) { r.Cells[2].Rerouted = 0 },
-		"unattributed drop": func(r *ChaosReport) { r.Cells[2].FailDropLinks = nil },
-		"no stalls":         func(r *ChaosReport) { r.Cells[4].LinkStalls = 0 },
-		"undetected crash":  func(r *ChaosReport) { r.Cells[6].DetectNs = 0 },
-		"slow offload detection": func(r *ChaosReport) {
-			for i := range r.Cells {
-				if r.Cells[i].Plan == "crash" && r.Cells[i].Approach == "offload" {
-					r.Cells[i].DetectNs = 2_000_000
-				}
-			}
-		},
-		"no recovery attribution": func(r *ChaosReport) {
-			for i := range r.Cells {
-				r.Cells[i].RecoveryPathNs = 0
-			}
-		},
-	}
-	for name, corrupt := range cases {
-		r := good()
-		corrupt(r)
-		if err := validateChaos(r); err == nil {
-			t.Errorf("%s: validator accepted a corrupt report", name)
-		}
 	}
 }

@@ -1,20 +1,14 @@
-// Command mtbench regenerates the paper's Fig 6: the OSU multithreaded
-// latency benchmark under MPI_THREAD_MULTIPLE with 2, 4 and 8 thread
-// pairs per rank, comparing baseline, comm-self and offload.
-//
-// With -mtscale it instead runs the enqueue-scaling sweep: the mean
-// Isend post cost as the submitting thread count grows 1–16, in virtual
-// time (simulator, offload approach — must stay flat at EnqueueCost) and
-// in wall-clock (rt layer — private-shard submission via RegisterThread
-// versus the shared MPMC overflow path), plus the threads × agents grid
-// (multi-agent offload engine: duty cycle, polling efficiency and
-// completion throughput per cell). The result is written as
-// BENCH_mtscale.json; -validate FILE checks such a document's schema and,
-// on full-size documents, the saturated-cell perf gates.
+// Command mtbench runs the enqueue-scaling sweep: the mean Isend post cost
+// as the submitting thread count grows 1–16, in virtual time (simulator,
+// offload approach — must stay flat at EnqueueCost) and in wall-clock (rt
+// layer — private-shard submission via RegisterThread versus the shared
+// MPMC overflow path), plus the threads × agents grid (multi-agent offload
+// engine: duty cycle, polling efficiency and completion throughput per
+// cell). The result is written as BENCH_mtscale.json (schema mtscale/v2,
+// checked by `benchdiff -validate`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -28,26 +22,13 @@ import (
 
 func main() {
 	profile := flag.String("profile", "endeavor", "endeavor | phi | edison")
-	iters := flag.Int("iters", 20, "measured iterations (Fig 6 mode)")
-	csv := flag.Bool("csv", false, "emit CSV (Fig 6 mode)")
-	mtscale := flag.Bool("mtscale", false, "run the enqueue-scaling sweep instead of Fig 6")
-	out := flag.String("out", "BENCH_mtscale.json", "output path for -mtscale")
+	out := flag.String("out", "BENCH_mtscale.json", "output path")
 	scaleIters := flag.Int("scale-iters", 40, "posts per thread in the sim sweep")
 	rtIters := flag.Int("rt-iters", 20000, "posts per goroutine in the rt wall-clock sweep")
 	maxThreads := flag.Int("max-threads", 16, "cap the sweep's thread axis (smoke runs cap lower, keeping the 16-thread perf-gate rows out of statistically tiny documents)")
-	agents := flag.Int("agents", 1, "offload agents per rank (Fig 6 mode)")
-	validate := flag.String("validate", "", "validate an existing BENCH_mtscale.json and exit")
 	telemAddr := flag.String("telemetry", "", "serve live telemetry on ADDR (e.g. :9090) while the benchmark runs")
 	telemSmoke := flag.Bool("telemetry-smoke", false, "self-contained telemetry check: tiny workload, one scrape, validate, exit")
 	flag.Parse()
-
-	if *validate != "" {
-		if err := validateMTScaleFile(*validate); err != nil {
-			log.Fatalf("invalid %s: %v", *validate, err)
-		}
-		fmt.Printf("%s: valid %s document\n", *validate, mtScaleSchema)
-		return
-	}
 
 	prof, err := model.ByName(*profile)
 	if err != nil {
@@ -64,36 +45,7 @@ func main() {
 	if *telemAddr != "" {
 		telem = serveTelemetry(*telemAddr)
 	}
-
-	if *mtscale {
-		runMTScale(prof, *out, *scaleIters, *rtIters, *maxThreads, telem)
-		return
-	}
-
-	sizes := []int{8, 64, 512, 4 << 10, 32 << 10}
-	apps := []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload}
-
-	for _, threads := range []int{2, 4, 8} {
-		t := bench.NewTable(
-			fmt.Sprintf("Fig 6: OSU multithreaded latency (µs), %d thread pairs, %s", threads, prof.Name),
-			"size", "baseline", "comm-self", "offload")
-		cols := make([][]bench.MTLatencyResult, len(apps))
-		for i, a := range apps {
-			p := *prof
-			p.Agents = *agents
-			cols[i] = bench.OSUMultithreadedLatency(
-				sim.Config{Approach: a, Profile: &p, Telemetry: telem}, threads, sizes, *iters)
-		}
-		for r, sz := range sizes {
-			t.Add(bench.SizeLabel(sz),
-				bench.Us(cols[0][r].LatencyNs), bench.Us(cols[1][r].LatencyNs), bench.Us(cols[2][r].LatencyNs))
-		}
-		if *csv {
-			t.CSV(os.Stdout)
-		} else {
-			t.Print(os.Stdout)
-		}
-	}
+	runMTScale(prof, *out, *scaleIters, *rtIters, *maxThreads, telem)
 }
 
 // mtScaleThreads is the sweep's thread-count axis; mtScaleAgents the agent
@@ -115,16 +67,8 @@ func runMTScale(prof *model.Profile, out string, scaleIters, rtIters, maxThreads
 	rtRows := rtPostScaling(threads, rtIters)
 	agentCells := bench.MTAgentScaling(sim.Config{Approach: sim.Offload, Profile: &p, Telemetry: telem},
 		threads, mtScaleAgents, scaleIters)
-	rep := &MTScaleReport{Schema: mtScaleSchema, Profile: prof.Name, Sim: simRows, RT: rtRows, Agents: agentCells}
-	if err := validateMTScale(rep); err != nil {
-		log.Fatalf("generated report failed validation: %v", err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
+	rep := &bench.MTScaleReport{Schema: bench.MTScaleSchema, Profile: prof.Name, Sim: simRows, RT: rtRows, Agents: agentCells}
+	if err := bench.WriteReport(out, rep); err != nil {
 		log.Fatal(err)
 	}
 	t := bench.NewTable(

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,15 +10,15 @@ import (
 )
 
 // TestMTScaleReportSchema runs a tiny sweep end to end and checks the
-// emitted document against the validator — the same check `-validate`
-// applies and `make bench-smoke` runs in CI.
+// emitted document against the validator — the same check
+// `benchdiff -validate` applies and `make mtscale-smoke` runs in CI.
 func TestMTScaleReportSchema(t *testing.T) {
 	p := model.Endeavor()
 	simRows := bench.MTPostScaling(sim.Config{Approach: sim.Offload, Profile: p}, []int{1, 2}, 3)
 	rtRows := rtPostScaling([]int{1, 2}, 64)
 	agentCells := bench.MTAgentScaling(sim.Config{Approach: sim.Offload, Profile: p}, []int{1, 2}, []int{1, 2}, 3)
-	rep := &MTScaleReport{Schema: mtScaleSchema, Profile: p.Name, Sim: simRows, RT: rtRows, Agents: agentCells}
-	if err := validateMTScale(rep); err != nil {
+	rep := &bench.MTScaleReport{Schema: bench.MTScaleSchema, Profile: p.Name, Sim: simRows, RT: rtRows, Agents: agentCells}
+	if err := rep.Validate(); err != nil {
 		t.Fatalf("generated report invalid: %v", err)
 	}
 
@@ -32,80 +30,12 @@ func TestMTScaleReportSchema(t *testing.T) {
 		}
 	}
 
-	// Round-trip through the file-based validator used by -validate.
+	// Round-trip through the file-based validator used by benchdiff -validate.
 	path := filepath.Join(t.TempDir(), "mtscale.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := bench.WriteReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateMTScaleFile(path); err != nil {
+	if _, err := bench.ValidateFile(path); err != nil {
 		t.Fatalf("file validation: %v", err)
-	}
-}
-
-// TestMTScaleValidatorRejects: the validator must catch structural damage.
-func TestMTScaleValidatorRejects(t *testing.T) {
-	cell := func(threads, agents int, postsPerMs float64) bench.MTAgentCell {
-		return bench.MTAgentCell{
-			Threads: threads, Agents: agents, PostNs: 140, MeanBatch: 1,
-			DutyIssue: 0.3, DutyProgress: 0.3, DutyIdle: 0.4,
-			PollsPerCompletion: 2, PostsPerMs: postsPerMs,
-		}
-	}
-	good := func() *MTScaleReport {
-		return &MTScaleReport{
-			Schema:  mtScaleSchema,
-			Profile: "endeavor-xeon",
-			Sim:     []bench.MTScaleResult{{Threads: 1, PostNs: 140, MeanBatch: 1}},
-			RT: []RTScaleRow{
-				{Threads: 1, ShardedNsPerPost: 100, SharedNsPerPost: 110},
-				{Threads: 16, ShardedNsPerPost: 120, SharedNsPerPost: 400},
-			},
-			Agents: []bench.MTAgentCell{
-				cell(1, 1, 50),
-				cell(16, 1, 100), cell(16, 2, 150),
-			},
-		}
-	}
-	cases := map[string]func(*MTScaleReport){
-		"wrong schema":    func(r *MTScaleReport) { r.Schema = "mtscale/v1" },
-		"missing profile": func(r *MTScaleReport) { r.Profile = "" },
-		"empty sim":       func(r *MTScaleReport) { r.Sim = nil },
-		"empty rt":        func(r *MTScaleReport) { r.RT = nil },
-		"empty agents":    func(r *MTScaleReport) { r.Agents = nil },
-		"zero post":       func(r *MTScaleReport) { r.Sim[0].PostNs = 0 },
-		"zero batch":      func(r *MTScaleReport) { r.Sim[0].MeanBatch = 0 },
-		"negative rt":     func(r *MTScaleReport) { r.RT[0].ShardedNsPerPost = -1 },
-		"descending threads": func(r *MTScaleReport) {
-			r.Sim = append(r.Sim, bench.MTScaleResult{Threads: 1, PostNs: 140, MeanBatch: 1})
-			r.Sim[0].Threads = 2
-		},
-		"agent cells out of order": func(r *MTScaleReport) {
-			r.Agents[1], r.Agents[2] = r.Agents[2], r.Agents[1]
-		},
-		"duty fraction out of range": func(r *MTScaleReport) { r.Agents[0].DutyIdle = 1.5 },
-		"zero throughput":            func(r *MTScaleReport) { r.Agents[0].PostsPerMs = 0 },
-		"perf gate: sharded slower than shared at 16": func(r *MTScaleReport) {
-			r.RT[1].ShardedNsPerPost = r.RT[1].SharedNsPerPost + 1
-		},
-		"perf gate: agent speedup below 1.2x": func(r *MTScaleReport) {
-			r.Agents[2].PostsPerMs = r.Agents[1].PostsPerMs * 1.1
-		},
-		"perf gate: missing 1-agent cell at 16": func(r *MTScaleReport) {
-			r.Agents = []bench.MTAgentCell{cell(16, 2, 150)}
-		},
-	}
-	if err := validateMTScale(good()); err != nil {
-		t.Fatalf("baseline report should validate: %v", err)
-	}
-	for name, corrupt := range cases {
-		r := good()
-		corrupt(r)
-		if err := validateMTScale(r); err == nil {
-			t.Errorf("%s: validator accepted a corrupt report", name)
-		}
 	}
 }

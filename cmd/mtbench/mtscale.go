@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -11,145 +8,6 @@ import (
 	"mpioffload/bench"
 	"mpioffload/rt"
 )
-
-// mtScaleSchema versions BENCH_mtscale.json; bump on incompatible change.
-// v2 adds the threads × agents sweep (post cost, duty cycle, polling
-// efficiency, completion throughput per cell) and the perf gates the
-// validator applies to full-size documents.
-const mtScaleSchema = "mtscale/v2"
-
-// agentSpeedupMin is the -validate perf gate on the saturated cell: with
-// every submission thread flooding a 16-thread workload, two agents must
-// deliver at least this much more completion throughput than one.
-const agentSpeedupMin = 1.2
-
-// gateThreads is the thread count whose rows carry the perf gates: the
-// saturated end of the sweep. Documents without such rows (smoke sweeps)
-// get structural validation only.
-const gateThreads = 16
-
-// RTScaleRow is one thread count of the wall-clock sweep: mean ns an
-// application goroutine spends inside Isend, posting through a private
-// shard (RegisterThread) versus through the shared MPMC overflow (plain
-// Rank calls — the pre-sharding command queue).
-type RTScaleRow struct {
-	Threads          int     `json:"threads"`
-	ShardedNsPerPost float64 `json:"sharded_ns_per_post"`
-	SharedNsPerPost  float64 `json:"shared_ns_per_post"`
-}
-
-// MTScaleReport is the BENCH_mtscale.json document.
-type MTScaleReport struct {
-	Schema  string                `json:"schema"`
-	Profile string                `json:"profile"`
-	Sim     []bench.MTScaleResult `json:"sim"`
-	RT      []RTScaleRow          `json:"rt"`
-	Agents  []bench.MTAgentCell   `json:"agents"`
-}
-
-// validateMTScale checks a report's structure — schema tag, non-empty
-// sweeps, ascending axes, positive measurements — and, on documents that
-// reach the saturated gateThreads cell, the two perf gates: the sharded
-// wall-clock post must not be slower than the shared-MPMC post, and two
-// agents must beat one by agentSpeedupMin on completion throughput.
-func validateMTScale(rep *MTScaleReport) error {
-	if rep.Schema != mtScaleSchema {
-		return fmt.Errorf("schema %q, want %q", rep.Schema, mtScaleSchema)
-	}
-	if rep.Profile == "" {
-		return fmt.Errorf("missing profile")
-	}
-	if len(rep.Sim) == 0 || len(rep.RT) == 0 || len(rep.Agents) == 0 {
-		return fmt.Errorf("empty sweep: %d sim rows, %d rt rows, %d agent cells",
-			len(rep.Sim), len(rep.RT), len(rep.Agents))
-	}
-	if !sort.SliceIsSorted(rep.Sim, func(i, j int) bool { return rep.Sim[i].Threads < rep.Sim[j].Threads }) {
-		return fmt.Errorf("sim thread counts not ascending")
-	}
-	if !sort.SliceIsSorted(rep.RT, func(i, j int) bool { return rep.RT[i].Threads < rep.RT[j].Threads }) {
-		return fmt.Errorf("rt thread counts not ascending")
-	}
-	if !sort.SliceIsSorted(rep.Agents, func(i, j int) bool {
-		a, b := rep.Agents[i], rep.Agents[j]
-		if a.Threads != b.Threads {
-			return a.Threads < b.Threads
-		}
-		return a.Agents < b.Agents
-	}) {
-		return fmt.Errorf("agent cells not in (threads, agents) ascending order")
-	}
-	for _, r := range rep.Sim {
-		if r.Threads < 1 || r.PostNs <= 0 || r.MeanBatch < 1 {
-			return fmt.Errorf("bad sim row %+v", r)
-		}
-	}
-	for _, r := range rep.RT {
-		if r.Threads < 1 || r.ShardedNsPerPost <= 0 || r.SharedNsPerPost <= 0 {
-			return fmt.Errorf("bad rt row %+v", r)
-		}
-	}
-	for _, c := range rep.Agents {
-		// PollsPerCompletion may legitimately be zero: a saturated eager
-		// workload completes every command inline at issue, so the agents
-		// never reach a Testany round.
-		if c.Threads < 1 || c.Agents < 1 || c.PostNs <= 0 || c.MeanBatch < 1 ||
-			c.PollsPerCompletion < 0 || c.PostsPerMs <= 0 {
-			return fmt.Errorf("bad agent cell %+v", c)
-		}
-		for _, d := range []float64{c.DutyIssue, c.DutyProgress, c.DutyIdle} {
-			if d < 0 || d > 1 {
-				return fmt.Errorf("duty fraction out of range in %+v", c)
-			}
-		}
-	}
-	return validateGates(rep)
-}
-
-// validateGates applies the perf gates to the saturated gateThreads rows.
-// Smoke-sized documents (no 16-thread row) pass structural validation only.
-func validateGates(rep *MTScaleReport) error {
-	for _, r := range rep.RT {
-		if r.Threads == gateThreads && r.ShardedNsPerPost > r.SharedNsPerPost {
-			return fmt.Errorf("perf gate: sharded post %.0f ns > shared %.0f ns at %d threads",
-				r.ShardedNsPerPost, r.SharedNsPerPost, gateThreads)
-		}
-	}
-	var one, two float64
-	for _, c := range rep.Agents {
-		if c.Threads != gateThreads {
-			continue
-		}
-		switch c.Agents {
-		case 1:
-			one = c.PostsPerMs
-		case 2:
-			two = c.PostsPerMs
-		}
-	}
-	if one > 0 || two > 0 {
-		if one <= 0 || two <= 0 {
-			return fmt.Errorf("perf gate: %d-thread row needs both 1- and 2-agent cells", gateThreads)
-		}
-		if speedup := two / one; speedup < agentSpeedupMin {
-			return fmt.Errorf("perf gate: 2 agents give %.2fx throughput at %d threads, want ≥ %.1fx",
-				speedup, gateThreads, agentSpeedupMin)
-		}
-	}
-	return nil
-}
-
-// validateMTScaleFile loads and validates a BENCH_mtscale.json document.
-func validateMTScaleFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep MTScaleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return validateMTScale(&rep)
-}
 
 // rtPostScaling is the wall-clock half of the sweep: `threads` goroutines
 // on rank 0 each post `iters` 64-byte Isends to per-thread tags on rank 1
@@ -173,10 +31,10 @@ const (
 	rtBurst   = 8
 )
 
-func rtPostScaling(threadCounts []int, iters int) []RTScaleRow {
-	out := make([]RTScaleRow, 0, len(threadCounts))
+func rtPostScaling(threadCounts []int, iters int) []bench.RTScaleRow {
+	out := make([]bench.RTScaleRow, 0, len(threadCounts))
 	for _, threads := range threadCounts {
-		row := RTScaleRow{Threads: threads}
+		row := bench.RTScaleRow{Threads: threads}
 		// The min-over-reps estimator converges from above: every extra rep
 		// can only lower either variant toward its true floor. When the base
 		// reps leave the sharded min above the shared min — the instruction

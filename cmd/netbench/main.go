@@ -7,14 +7,13 @@
 // virtual-time prediction for each microbenchmark next to what this
 // host's sockets actually deliver.
 //
-// -validate FILE checks an existing document's schema and, on full-size
+// `benchdiff -validate` checks such a document's schema and, on full-size
 // documents, the saturated perf gate (offload rate ≥ direct rate at 16
 // threads). Under a cmd/mpirun launch (MPIOFFLOAD_* set) netbench instead
 // runs as one rank of a two-process ping-pong job (see worker.go).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -33,23 +32,14 @@ func main() {
 		return
 	}
 	out := flag.String("out", "BENCH_net.json", "output path")
-	validate := flag.String("validate", "", "validate an existing BENCH_net.json and exit")
 	backends := flag.String("backends", "loopback,unix", "comma-separated backends: loopback, unix, tcp")
 	quick := flag.Bool("quick", false, "reduced sweep (no 16-thread gate rows, no residuals)")
 	ppIters := flag.Int("iters", 600, "ping-pong iterations per size")
 	rateIters := flag.Int("rate-iters", 6000, "messages per sender thread in the rate sweep")
 	flag.Parse()
 
-	if *validate != "" {
-		if err := validateNetFile(*validate); err != nil {
-			log.Fatalf("invalid %s: %v", *validate, err)
-		}
-		fmt.Printf("%s: valid %s document\n", *validate, netSchema)
-		return
-	}
-
 	sizes := []int{8, 512, 4 << 10, 64 << 10}
-	threadCounts := []int{1, 4, gateThreads}
+	threadCounts := []int{1, 4, bench.GateThreads}
 	if *quick {
 		sizes = []int{8, 4 << 10}
 		threadCounts = []int{1, 2}
@@ -61,7 +51,7 @@ func main() {
 		}
 	}
 
-	rep := &NetReport{Schema: netSchema}
+	rep := &bench.NetReport{Schema: bench.NetSchema}
 	for _, name := range strings.Split(*backends, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
@@ -76,15 +66,7 @@ func main() {
 	if !*quick {
 		rep.Residuals = residuals(rep, sizes, *ppIters)
 	}
-	if err := validateNet(rep); err != nil {
-		log.Fatalf("generated report failed validation: %v", err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := bench.WriteReport(*out, rep); err != nil {
 		log.Fatal(err)
 	}
 	printReport(rep)
@@ -95,17 +77,17 @@ func main() {
 // virtual-time predictions for the paper's Endeavor fabric, the real rows
 // this host's sockets — the ratio is the documented model-vs-localhost
 // residual, not an error bar (different hardware on purpose).
-func residuals(rep *NetReport, sizes []int, ppIters int) []NetResidual {
+func residuals(rep *bench.NetReport, sizes []int, ppIters int) []bench.NetResidual {
 	cfg := sim.Config{Approach: sim.Offload}
 	simPP := bench.OSULatency(cfg, sizes, 10)
-	simMT := bench.OSUMultithreadedLatency(cfg, gateThreads, []int{64}, 6)
-	var rows []NetResidual
+	simMT := bench.OSUMultithreadedLatency(cfg, bench.GateThreads, []int{64}, 6)
+	var rows []bench.NetResidual
 	for _, b := range rep.Backends {
 		for i, pp := range b.PingPong {
 			if i >= len(simPP) {
 				break
 			}
-			rows = append(rows, NetResidual{
+			rows = append(rows, bench.NetResidual{
 				Bench:   "pingpong/" + bench.SizeLabel(pp.Size),
 				Backend: b.Backend,
 				SimNs:   simPP[i].LatencyNs,
@@ -115,7 +97,7 @@ func residuals(rep *NetReport, sizes []int, ppIters int) []NetResidual {
 		}
 		// The 16-thread multithreaded ping-pong, the shape of the paper's
 		// Fig 6 saturated cell.
-		c, err := newBackendCluster(b.Backend, rt.Offload, rt.Options{ShardCount: gateThreads})
+		c, err := newBackendCluster(b.Backend, rt.Offload, rt.Options{ShardCount: bench.GateThreads})
 		if err != nil {
 			log.Fatalf("netbench: %s: %v", b.Backend, err)
 		}
@@ -123,10 +105,10 @@ func residuals(rep *NetReport, sizes []int, ppIters int) []NetResidual {
 		if iters < 50 {
 			iters = 50
 		}
-		realMT := pingPong(c, gateThreads, 64, iters)
+		realMT := pingPong(c, bench.GateThreads, 64, iters)
 		c.Close()
-		rows = append(rows, NetResidual{
-			Bench:   fmt.Sprintf("mt_pingpong/%dt/64B", gateThreads),
+		rows = append(rows, bench.NetResidual{
+			Bench:   fmt.Sprintf("mt_pingpong/%dt/64B", bench.GateThreads),
 			Backend: b.Backend,
 			SimNs:   simMT[0].LatencyNs,
 			RealNs:  realMT,
@@ -136,7 +118,7 @@ func residuals(rep *NetReport, sizes []int, ppIters int) []NetResidual {
 	return rows
 }
 
-func printReport(rep *NetReport) {
+func printReport(rep *bench.NetReport) {
 	for _, b := range rep.Backends {
 		t := bench.NewTable(fmt.Sprintf("Ping-pong one-way latency, %s backend", b.Backend),
 			"size", "latency µs")

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"mpioffload/bench"
 	"mpioffload/internal/transport"
 	"mpioffload/rt"
 )
@@ -156,10 +157,10 @@ const (
 	rateRepsMax = 9
 )
 
-func ratePoint(backend string, threads, iters int) (RateRow, error) {
-	row := RateRow{Threads: threads}
+func ratePoint(backend string, threads, iters int) (bench.RateRow, error) {
+	row := bench.RateRow{Threads: threads}
 	for rep := 0; rep < rateReps ||
-		(threads == gateThreads && row.OffloadMsgsSec < row.DirectMsgsSec && rep < rateRepsMax); rep++ {
+		(threads == bench.GateThreads && row.OffloadMsgsSec < row.DirectMsgsSec && rep < rateRepsMax); rep++ {
 		for _, mode := range []rt.Mode{rt.Direct, rt.Offload} {
 			c, err := newBackendCluster(backend, mode, rt.Options{ShardCount: threads, CmdBatchMax: 64})
 			if err != nil {
@@ -183,8 +184,8 @@ func ratePoint(backend string, threads, iters int) (RateRow, error) {
 }
 
 // benchBackend runs the full sweep for one backend.
-func benchBackend(backend string, sizes, threadCounts []int, ppIters, rateIters int) (NetBackend, error) {
-	b := NetBackend{Backend: backend}
+func benchBackend(backend string, sizes, threadCounts []int, ppIters, rateIters int) (bench.NetBackend, error) {
+	b := bench.NetBackend{Backend: backend}
 	for _, size := range sizes {
 		c, err := newBackendCluster(backend, rt.Offload, rt.Options{})
 		if err != nil {
@@ -192,7 +193,7 @@ func benchBackend(backend string, sizes, threadCounts []int, ppIters, rateIters 
 		}
 		lat := pingPong(c, 1, size, ppIters)
 		c.Close()
-		b.PingPong = append(b.PingPong, PingPongRow{Size: size, LatencyNs: lat})
+		b.PingPong = append(b.PingPong, bench.PingPongRow{Size: size, LatencyNs: lat})
 	}
 	for _, threads := range threadCounts {
 		row, err := ratePoint(backend, threads, rateIters)

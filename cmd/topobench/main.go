@@ -3,13 +3,12 @@
 // a dragonfly, each running the flat ring, the topology-aware hierarchical
 // schedule, and Iallreduce's automatic selection over message sizes from
 // 64 KiB to 4 MiB. The result is written as BENCH_topo.json (schema
-// topo/v1); -validate FILE checks such a document, including the headline
-// claim that the hierarchical allreduce beats the flat ring for >= 1 MiB
-// buffers on the 2:1-oversubscribed fat-tree.
+// topo/v1); `benchdiff -validate` checks such a document, including the
+// headline claim that the hierarchical allreduce beats the flat ring for
+// >= 1 MiB buffers on the 2:1-oversubscribed fat-tree.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -41,24 +40,15 @@ func main() {
 	iters := flag.Int("iters", 3, "measured allreduces per cell")
 	out := flag.String("out", "BENCH_topo.json", "output path")
 	csv := flag.Bool("csv", false, "emit CSV tables instead of aligned text")
-	validate := flag.String("validate", "", "validate an existing BENCH_topo.json and exit")
 	flag.Parse()
-
-	if *validate != "" {
-		if err := validateTopoFile(*validate); err != nil {
-			log.Fatalf("invalid %s: %v", *validate, err)
-		}
-		fmt.Printf("%s: valid %s document\n", *validate, topoSchema)
-		return
-	}
 
 	prof, err := model.ByName(*profile)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	rep := &TopoReport{
-		Schema:       topoSchema,
+	rep := &bench.TopoReport{
+		Schema:       bench.TopoSchema,
 		Profile:      prof.Name,
 		Nodes:        *nodes,
 		RanksPerNode: *rpn,
@@ -81,15 +71,7 @@ func main() {
 			}
 		}
 	}
-	if err := validateTopo(rep); err != nil {
-		log.Fatalf("generated report failed validation: %v", err)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := bench.WriteReport(*out, rep); err != nil {
 		log.Fatal(err)
 	}
 

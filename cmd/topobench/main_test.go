@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -15,14 +13,15 @@ import (
 // TestTopoReportSchema runs a reduced sweep end to end — one
 // oversubscribed fat-tree, ring versus hier at 1 MiB on the acceptance
 // configuration — and checks the emitted document against the validator,
-// the same check `-validate` applies and `make topo-smoke` runs in CI.
+// the same check `benchdiff -validate` applies and `make topo-smoke` runs
+// in CI.
 func TestTopoReportSchema(t *testing.T) {
 	const ts = "fattree:arity=4,oversub=2"
 	spec, err := topo.Parse(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := &TopoReport{Schema: topoSchema, Profile: "endeavor-xeon", Nodes: 16, RanksPerNode: 2}
+	rep := &bench.TopoReport{Schema: bench.TopoSchema, Profile: "endeavor-xeon", Nodes: 16, RanksPerNode: 2}
 	for _, algo := range []string{"ring", "hier"} {
 		p := model.Endeavor()
 		p.RanksPerNode = 2
@@ -31,7 +30,7 @@ func TestTopoReportSchema(t *testing.T) {
 		row.Topo = ts
 		rep.Rows = append(rep.Rows, row)
 	}
-	if err := validateTopo(rep); err != nil {
+	if err := rep.Validate(); err != nil {
 		t.Fatalf("generated report invalid: %v", err)
 	}
 	if hier, ring := rep.Rows[1], rep.Rows[0]; hier.MeanNs >= ring.MeanNs {
@@ -41,70 +40,12 @@ func TestTopoReportSchema(t *testing.T) {
 		t.Fatalf("fat-tree row carries no link contention: %+v", rep.Rows[0])
 	}
 
-	// Round-trip through the file-based validator used by -validate.
+	// Round-trip through the file-based validator used by benchdiff -validate.
 	path := filepath.Join(t.TempDir(), "topo.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := bench.WriteReport(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateTopoFile(path); err != nil {
+	if _, err := bench.ValidateFile(path); err != nil {
 		t.Fatalf("file validation: %v", err)
-	}
-}
-
-// TestTopoValidatorRejects: the validator must catch structural damage and
-// a regressed headline claim.
-func TestTopoValidatorRejects(t *testing.T) {
-	const ft2 = "fattree:arity=4,oversub=2"
-	good := func() *TopoReport {
-		return &TopoReport{
-			Schema: topoSchema, Profile: "endeavor-xeon", Nodes: 16, RanksPerNode: 2,
-			Rows: []bench.TopoCollResult{
-				{Topo: "flat", Algo: "ring", Bytes: 1 << 20, MeanNs: 700_000},
-				{Topo: ft2, Algo: "ring", Bytes: 1 << 20, MeanNs: 660_000, MaxLinkUtil: 0.4, MaxQueue: 3},
-				{Topo: ft2, Algo: "hier", Bytes: 1 << 20, MeanNs: 560_000, MaxLinkUtil: 0.5, MaxQueue: 4},
-			},
-		}
-	}
-	cases := map[string]func(*TopoReport){
-		"wrong schema":     func(r *TopoReport) { r.Schema = "topo/v0" },
-		"missing profile":  func(r *TopoReport) { r.Profile = "" },
-		"bad shape":        func(r *TopoReport) { r.Nodes = 1 },
-		"empty sweep":      func(r *TopoReport) { r.Rows = nil },
-		"zero mean":        func(r *TopoReport) { r.Rows[0].MeanNs = 0 },
-		"unknown algo":     func(r *TopoReport) { r.Rows[0].Algo = "bcast" },
-		"flat contention":  func(r *TopoReport) { r.Rows[0].MaxLinkUtil = 0.3 },
-		"hier regression":  func(r *TopoReport) { r.Rows[2].MeanNs = 700_000 },
-		"ring row missing": func(r *TopoReport) { r.Rows = r.Rows[2:] },
-		"no hier evidence": func(r *TopoReport) { r.Rows = r.Rows[:2] },
-	}
-	if err := validateTopo(good()); err != nil {
-		t.Fatalf("baseline report should validate: %v", err)
-	}
-	for name, corrupt := range cases {
-		r := good()
-		corrupt(r)
-		if err := validateTopo(r); err == nil {
-			t.Errorf("%s: validator accepted a corrupt report", name)
-		}
-	}
-}
-
-// TestOversubscribedFatTree pins the topology-axis string matcher.
-func TestOversubscribedFatTree(t *testing.T) {
-	for s, want := range map[string]bool{
-		"fattree:arity=4,oversub=2":   true,
-		"fattree:arity=8,oversub=2.5": true,
-		"fattree:arity=4,oversub=1":   false,
-		"fattree":                     false,
-		"flat":                        false,
-		"dragonfly:group=4":           false,
-	} {
-		if got := oversubscribedFatTree(s); got != want {
-			t.Errorf("oversubscribedFatTree(%q) = %v, want %v", s, got, want)
-		}
 	}
 }

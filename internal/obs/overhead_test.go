@@ -11,14 +11,17 @@ import (
 // the receiver nil and delete the atomic load we are measuring.
 var hookSink *Recorder
 
-// TestDisabledHookOverhead proves the tentpole's overhead budget: a hook on
-// a disabled (but present) recorder must cost under 5 ns — a nil check plus
-// one atomic load. Every hook family is measured, including the flow and
-// histogram hooks, since each added argument rides the same early-out.
-// Measured by hand (not testing.Benchmark) so the whole check runs in
-// milliseconds; the minimum over several rounds discards scheduler noise.
-// Excluded under -race, whose instrumentation multiplies the cost of every
-// atomic op.
+// TestDisabledHookOverhead proves the overhead budget: a hook on a disabled
+// (but present) recorder must cost under 5 ns — a nil check plus one atomic
+// load. Every hook family is measured, including the flow and histogram
+// hooks, since each added argument rides the same early-out. Each hook is
+// called through a closure in a slice, and that indirect call alone costs a
+// few ns on a small host, so an empty closure is timed in the same loop and
+// the budget applies to the hook's cost above it. Measured by hand (not
+// testing.Benchmark) so the whole check runs in milliseconds: many short
+// rounds interleave the entries and keep each one's minimum, so a round
+// slowed by preemption or a busy sibling core is discarded. Excluded under -race, whose instrumentation multiplies
+// the cost of every atomic op.
 func TestDisabledHookOverhead(t *testing.T) {
 	rec := NewRecorder(0, 8)
 	rec.on.Store(false)
@@ -29,6 +32,7 @@ func TestDisabledHookOverhead(t *testing.T) {
 		name string
 		call func()
 	}{
+		{"empty closure", func() {}},
 		{"Progressed", func() { hookSink.Progressed(TApp) }},
 		{"CmdEnqueued", func() { hookSink.CmdEnqueued(1, TApp, 1, 1) }},
 		{"CmdDequeued", func() { hookSink.CmdDequeued(1, 1, 0, 5) }},
@@ -38,22 +42,26 @@ func TestDisabledHookOverhead(t *testing.T) {
 		{"EagerLanded", func() { hookSink.EagerLanded(1, TApp, 8, 1, 42) }},
 		{"RdvStarted", func() { hookSink.RdvStarted(1, TApp, 8, 1, 42, 5) }},
 	}
-	const iters = 2_000_000
-	for _, h := range hooks {
-		best := time.Duration(1 << 62)
-		for round := 0; round < 5; round++ {
+	const rounds, iters = 50, 100_000
+	best := make([]time.Duration, len(hooks))
+	for round := 0; round < rounds; round++ {
+		for i, h := range hooks {
 			start := time.Now()
-			for i := 0; i < iters; i++ {
+			for n := 0; n < iters; n++ {
 				h.call()
 			}
-			if d := time.Since(start); d < best {
-				best = d
+			if d := time.Since(start); round == 0 || d < best[i] {
+				best[i] = d
 			}
 		}
-		nsPerOp := float64(best.Nanoseconds()) / iters
-		t.Logf("disabled %s: %.2f ns/op", h.name, nsPerOp)
+	}
+	baseline := float64(best[0].Nanoseconds()) / iters
+	t.Logf("empty closure: %.2f ns/op", baseline)
+	for i, h := range hooks[1:] {
+		nsPerOp := float64(best[i+1].Nanoseconds())/iters - baseline
+		t.Logf("disabled %s: %.2f ns/op over the empty closure", h.name, nsPerOp)
 		if nsPerOp >= 5 {
-			t.Errorf("disabled %s costs %.2f ns/op, want < 5", h.name, nsPerOp)
+			t.Errorf("disabled %s costs %.2f ns/op over the empty closure, want < 5", h.name, nsPerOp)
 		}
 	}
 	if got := len(rec.Events()); got != 0 {

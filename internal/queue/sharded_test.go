@@ -343,7 +343,7 @@ func TestShardedConcurrent(t *testing.T) {
 // submission (SPSC: plain stores) beats the shared overflow path (MPMC:
 // CAS + sequence store). Under concurrent producers the gap widens — the
 // MPMC CAS line becomes the serialization point — which is what
-// cmd/mtbench -mtscale measures end to end.
+// cmd/mtbench measures end to end.
 
 func BenchmarkShardedPrivateEnqDeq(b *testing.B) {
 	q := NewSharded[int](4, 1<<12, 1<<12)
